@@ -96,10 +96,10 @@ let all =
       id = "journal-write";
       doc =
         "the crash journal's durability contract (CRC framing, one \
-         guarded write per record, fsync before acknowledge) lives in \
-         Service.Journal; raw Unix writes in the serving layer risk \
-         bypassing it on a journal fd — route durable bytes through \
-         Journal.append";
+         guarded write and fsync per batch, fsync before acknowledge) \
+         lives in Service.Journal; raw Unix writes in the serving layer \
+         risk bypassing it on a journal fd — route durable bytes through \
+         Journal.append_batch";
       banned =
         [
           "Unix.write";

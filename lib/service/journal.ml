@@ -3,7 +3,12 @@ type record =
   | Release of { name : int; epoch : int }
   | Expire of { name : int; epoch : int }
 
-type t = { oc : out_channel; fd : Unix.file_descr }
+type t = {
+  oc : out_channel;
+  fd : Unix.file_descr;
+  payload : Bytes.t;  (* one record's payload, re-encoded per record *)
+  batch : Buffer.t;  (* one batch's frames; cleared, never shrunk *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected), table-driven. *)
@@ -17,42 +22,46 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32 b off len =
   let table = Lazy.force crc_table in
   let c = ref 0xffffffff in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xffffffff
 
 (* ------------------------------------------------------------------ *)
 (* Record codec.  Payload: u8 kind, u32 name, u64 epoch, then for
    grants u32 client and u32 token.  Fixed widths, big-endian. *)
 
-let add_u64 b v =
-  Wire.add_u32 b ((v lsr 32) land 0xffffffff);
-  Wire.add_u32 b (v land 0xffffffff)
+let max_record_payload = 21
+
+(* Int32.of_int keeps the low 32 bits, so values up to 2^32 - 1 land
+   as the unsigned u32 that Wire.get_u32 reads back. *)
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+
+let set_head b kind name epoch =
+  Bytes.set_uint8 b 0 kind;
+  set_u32 b 1 name;
+  set_u32 b 5 (epoch lsr 32);
+  set_u32 b 9 epoch
+
+(* Encode [r] at the start of [b]; returns the payload length. *)
+let encode_payload b r =
+  match r with
+  | Grant { name; epoch; client; token } ->
+    set_head b 1 name epoch;
+    set_u32 b 13 client;
+    set_u32 b 17 token;
+    21
+  | Release { name; epoch } ->
+    set_head b 2 name epoch;
+    13
+  | Expire { name; epoch } ->
+    set_head b 3 name epoch;
+    13
 
 let get_u64 buf off = (Wire.get_u32 buf off lsl 32) lor Wire.get_u32 buf (off + 4)
-
-let encode_payload r =
-  let b = Buffer.create 32 in
-  (match r with
-  | Grant { name; epoch; client; token } ->
-    Wire.add_u8 b 1;
-    Wire.add_u32 b name;
-    add_u64 b epoch;
-    Wire.add_u32 b client;
-    Wire.add_u32 b token
-  | Release { name; epoch } ->
-    Wire.add_u8 b 2;
-    Wire.add_u32 b name;
-    add_u64 b epoch
-  | Expire { name; epoch } ->
-    Wire.add_u8 b 3;
-    Wire.add_u32 b name;
-    add_u64 b epoch);
-  Buffer.contents b
 
 let decode_payload buf off len =
   if len < 13 then None
@@ -77,27 +86,41 @@ let decode_payload buf off len =
    this is framing damage, not a future record format. *)
 let max_payload = 256
 
-let frame r =
-  let payload = encode_payload r in
-  let b = Buffer.create 32 in
-  Wire.add_u32 b (String.length payload);
-  Wire.add_u32 b (crc32 payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+(* Append [r]'s frame to [buf], encoding through the [payload]
+   scratch: no allocation beyond the buffer's own growth. *)
+let add_frame buf payload r =
+  let len = encode_payload payload r in
+  Buffer.add_int32_be buf (Int32.of_int len);
+  Buffer.add_int32_be buf (Int32.of_int (crc32 payload 0 len));
+  Buffer.add_subbytes buf payload 0 len
 
 (* ------------------------------------------------------------------ *)
 (* Appending *)
 
 let open_append ~path =
   match open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path with
-  | oc -> Ok { oc; fd = Unix.descr_of_out_channel oc }
+  | oc ->
+    Ok
+      {
+        oc;
+        fd = Unix.descr_of_out_channel oc;
+        payload = Bytes.create max_record_payload;
+        batch = Buffer.create 1024;
+      }
   | exception Sys_error e -> Error (Printf.sprintf "journal %s: %s" path e)
 
-let append t r =
-  (* guarded_write flushes; the fsync makes the record power-loss
-     durable before the caller acts on it (write-ahead). *)
-  Engine.Io_fault.guarded_write ~oc:t.oc (frame r);
-  Unix.fsync t.fd
+let append_batch t = function
+  | [] -> ()
+  | records ->
+    Buffer.clear t.batch;
+    List.iter (add_frame t.batch t.payload) records;
+    (* guarded_write flushes; the fsync makes the whole batch
+       power-loss durable before the caller acts on any of it
+       (write-ahead). *)
+    Engine.Io_fault.guarded_write ~oc:t.oc (Buffer.contents t.batch);
+    Unix.fsync t.fd
+
+let append t r = append_batch t [ r ]
 
 let close t = try close_out t.oc with Sys_error _ -> ()
 
@@ -146,8 +169,7 @@ let scan ~path =
         end
         else begin
           let crc = Wire.get_u32 buf (!o + 4) in
-          let payload = Bytes.sub_string buf (!o + 8) plen in
-          if crc32 payload <> crc then incr damaged
+          if crc32 buf (!o + 8) plen <> crc then incr damaged
           else begin
             match decode_payload buf (!o + 8) plen with
             | Some r -> records := r :: !records
@@ -211,10 +233,13 @@ let rewrite ~path grants =
   | exception Sys_error e -> Error (Printf.sprintf "journal %s: %s" tmp e)
   | oc -> (
     match
+      let buf = Buffer.create 1024 in
+      let payload = Bytes.create max_record_payload in
       List.iter
         (fun (name, (epoch, client, token)) ->
-          output_string oc (frame (Grant { name; epoch; client; token })))
+          add_frame buf payload (Grant { name; epoch; client; token }))
         grants;
+      Buffer.output_buffer oc buf;
       flush oc;
       Unix.fsync (Unix.descr_of_out_channel oc);
       close_out oc;

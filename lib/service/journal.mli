@@ -9,12 +9,25 @@
     double-granting a name some client still holds.
 
     {b Framing.}  Each record is [u32 length | u32 CRC-32 | payload],
-    big-endian, written as one {!Engine.Io_fault.guarded_write} (the
-    same injectable write/fsync discipline the engine's stores are
-    tested under) followed by [fsync].  A crash mid-append therefore
-    leaves at most one torn record, and only at the tail; {!scan}
-    tolerates it.  A CRC mismatch on a {e complete} record is real
-    damage — recovery refuses it, [repro_cli doctor] reports it.
+    big-endian.  Records are appended in batches ({e group commit}):
+    {!append_batch} frames a whole batch into one buffer and writes it
+    as one {!Engine.Io_fault.guarded_write} (the same injectable
+    write/fsync discipline the engine's stores are tested under)
+    followed by one [fsync].  A crash mid-append therefore leaves a
+    clean prefix of the batch and at most one torn record, only at the
+    tail; {!scan} tolerates it.  A CRC mismatch on a {e complete}
+    record is real damage — recovery refuses it, [repro_cli doctor]
+    reports it.
+
+    {b Batch contract.}  The server collects every record one pass of
+    its event loop decides and commits them together, before that
+    pass writes a byte to any client.  Two invariants make this as safe
+    as one fsync per record:
+    - file order equals decision order, so the [Release] of a name
+      always precedes the [Grant] that re-wins it and replay never sees
+      a double grant;
+    - no reply that depends on a record (an [Acquired]) leaves before
+      the fsync covering that record has returned.
 
     {b Compaction} happens at boot: after a successful replay the file
     is rewritten to just the live grants (atomically, via rename), so
@@ -31,12 +44,19 @@ type t
 val open_append : path:string -> (t, string) result
 (** Open (creating if absent) for appending. *)
 
-val append : t -> record -> unit
-(** Frame, write, flush, [fsync].  @raise Engine.Io_fault.Injected
+val append_batch : t -> record list -> unit
+(** Frame every record, in list order, into a buffer owned by [t]
+    (reused across batches), then one write, flush and [fsync].  The
+    empty batch touches nothing.  @raise Engine.Io_fault.Injected
     under an armed fault; @raise Sys_error/[Unix.Unix_error] on real
-    I/O failure.  The caller decides policy: a failed [Grant] append
-    must abort the grant, a failed [Release] append may proceed (the
-    stale grant is reclaimed by lease expiry after recovery). *)
+    I/O failure.  Either way no record of the batch may be treated as
+    durable (any prefix of it may have reached the file).  The caller
+    decides policy: a failed batch must abort its [Grant]s, while its
+    [Release]/[Expire] records may be lost (the stale grant is
+    reclaimed by lease expiry after recovery). *)
+
+val append : t -> record -> unit
+(** [append t r] is [append_batch t [r]]. *)
 
 val close : t -> unit
 

@@ -166,6 +166,11 @@ type conn = {
 
 let out_pending c = Session.out_pending c.session
 
+(* A grant decided this pass: leased and its [Grant] record queued, its
+   [Acquired] reply held back until the commit that makes the record
+   durable. *)
+type held_grant = { holder : conn; id : int; name : int; epoch : int }
+
 type phase = Serving | Draining_jobs | Draining_ledgers | Flushing
 
 type state = {
@@ -202,6 +207,11 @@ type state = {
   mutable stalled_conns : int;
   mutable queue_peak : int;
   mutable flush_deadline : float;
+  mutable pending : Journal.record list;
+      (* records decided since the last commit, newest first *)
+  mutable held : held_grant list;  (* grants awaiting commit, newest first *)
+  mutable journal_commits : int;  (* batches made durable *)
+  mutable journal_records : int;  (* records in those batches *)
   acq_depth : int Atomic.t array;
       (* queued (not yet picked) acquires per shard: the class the
          admission bound governs.  Releases share the worker queues but
@@ -344,35 +354,19 @@ let purge_expired st ~shard =
 (* ------------------------------------------------------------------ *)
 (* Journal + lease plumbing (I/O domain only) *)
 
-let journal_append st r =
-  match st.journal with
-  | None -> Ok ()
-  | Some j -> (
-    try
-      Journal.append j r;
-      Ok ()
-    with
-    | Engine.Io_fault.Injected m -> Error m
-    | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | Sys_error m -> Error m)
+(* Queue a record for this pass's commit.  Push order is decision
+   order, and the commit writes the batch in that order: a [Release]
+   of a name always lands before the [Grant] that re-wins it. *)
+let journal_push st r =
+  if Option.is_some st.journal then st.pending <- r :: st.pending
 
-(* Remove [name]'s lease and journal the release.  A failed release
-   append is tolerated: after recovery the grant comes back as an
-   orphan lease and expires one TTL later — a delay, never a
-   double-grant. *)
+(* Remove [name]'s lease and queue its release record. *)
 let release_lease st name =
   match Lease.epoch_of st.leases ~name with
   | None -> ()
-  | Some epoch -> (
+  | Some epoch ->
     ignore (Lease.release st.leases ~name ~epoch);
-    match journal_append st (Journal.Release { name; epoch }) with
-    | Ok () -> ()
-    | Error m ->
-      st.cfg.log
-        (Printf.sprintf
-           "journal: release of %d not recorded (%s); lease expiry reclaims \
-            it after recovery"
-           name m))
+    journal_push st (Journal.Release { name; epoch })
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -406,11 +400,7 @@ let sweep st tnow =
         | Some c when not c.dead -> Session.note_released c.session name
         | _ -> ())
       | None -> ());
-      (match journal_append st (Journal.Expire { name; epoch }) with
-      | Ok () -> ()
-      | Error m ->
-        st.cfg.log
-          (Printf.sprintf "journal: expiry of %d not recorded (%s)" name m));
+      journal_push st (Journal.Expire { name; epoch });
       enqueue_auto_release st name)
     (Lease.expire_due st.leases ~now:tnow)
 
@@ -436,6 +426,8 @@ let stats_json st =
         ("dedup_hits", Jsonu.Int st.dedup_hits);
         ("recovered", Jsonu.Int st.recovered);
         ("journal", Jsonu.Bool (Option.is_some st.journal));
+        ("journal_commits", Jsonu.Int st.journal_commits);
+        ("journal_records", Jsonu.Int st.journal_records);
         ("conns", Jsonu.Int (Hashtbl.length st.conns));
         ("conns_served", Jsonu.Int st.conns_served);
         ("requests", Jsonu.Int st.requests);
@@ -467,6 +459,11 @@ let handle_request st c (r : Wire.request) =
       let dedup =
         match Lease.find_token st.leases ~token with
         | None -> None
+        | Some (name, _) when List.exists (fun g -> g.name = name) st.held ->
+          (* Its grant is not durable yet and may still be rolled back:
+             re-delivering it now could acknowledge a name the commit
+             then frees.  Serve the retry as a fresh acquire. *)
+          None
         | Some (name, epoch) ->
           let ours =
             match Lease.holder_of st.leases ~name with
@@ -582,32 +579,15 @@ let handle_done st op =
     end
     else
     (match (find conn, name) with
-    | Some c, Some name when not c.dead -> (
-      (* Write-ahead: the grant is journaled before the client can ever
-         see [Acquired], so an acknowledged name is always recovered.
-         If the append fails the grant never happened — roll the lease
-         back, return the slot, tell the client the truth. *)
+    | Some c, Some name when not c.dead ->
+      (* Write-ahead: the lease and its record are decided now, but the
+         client sees [Acquired] only after [commit] has made the record
+         durable, so an acknowledged name is always recovered. *)
       let epoch =
         Lease.grant st.leases ~now:(now ()) ~name ~holder:(Some c.cid) ~token
       in
-      match journal_append st (Journal.Grant { name; epoch; client; token }) with
-      | Ok () ->
-        st.acquires <- st.acquires + 1;
-        Session.note_acquired c.session name;
-        send_response st c
-          (Wire.Acquired { id; name; lease_ms = Lease.ttl_ms st.leases })
-      | Error m ->
-        ignore (Lease.release st.leases ~name ~epoch);
-        enqueue_auto_release st name;
-        st.cfg.log (Printf.sprintf "journal: grant of %d aborted (%s)" name m);
-        send_response st c
-          (Wire.Error
-             {
-               id;
-               op = Wire.Op_acquire;
-               code = Wire.err_internal;
-               msg = "journal append failed";
-             }))
+      journal_push st (Journal.Grant { name; epoch; client; token });
+      st.held <- { holder = c; id; name; epoch } :: st.held
     | _, Some name ->
       (* Granted to a connection that died while the job was in
          flight: never journaled, never leased — nobody will release
@@ -633,6 +613,69 @@ let handle_done st op =
       | _ -> ());
       settle conn
     end
+
+(* Group commit: one write + fsync for every record this pass decided,
+   run after the pass's reads and outbox drain and before it writes a
+   byte to any client.  Only then do the held grants become [Acquired].
+   A failed batch aborts every grant in it: roll the lease back, return
+   the slot, tell the client the truth.  Its releases and expiries are
+   tolerated as lost — after recovery such a grant comes back as an
+   orphan lease and expires one TTL later, a delay, never a double
+   grant. *)
+let commit st =
+  let records = List.rev st.pending and grants = List.rev st.held in
+  st.pending <- [];
+  st.held <- [];
+  let outcome =
+    match (st.journal, records) with
+    | None, _ | _, [] -> Ok ()
+    | Some j, _ -> (
+      try
+        Journal.append_batch j records;
+        st.journal_commits <- st.journal_commits + 1;
+        st.journal_records <- st.journal_records + List.length records;
+        Ok ()
+      with
+      | Engine.Io_fault.Injected m -> Error m
+      | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+      | Sys_error m -> Error m)
+  in
+  match outcome with
+  | Ok () ->
+    List.iter
+      (fun { holder = c; id; name; epoch = _ } ->
+        st.acquires <- st.acquires + 1;
+        if c.dead then begin
+          (* The connection died after the grant was decided: nobody
+             will release the name, so the server must. *)
+          release_lease st name;
+          enqueue_drain_release st name
+        end
+        else begin
+          Session.note_acquired c.session name;
+          send_response st c
+            (Wire.Acquired { id; name; lease_ms = Lease.ttl_ms st.leases })
+        end)
+      grants
+  | Error m ->
+    st.cfg.log
+      (Printf.sprintf
+         "journal: batch of %d record(s) not recorded (%s); %d grant(s) \
+          aborted, lease expiry reclaims its releases after recovery"
+         (List.length records) m (List.length grants));
+    List.iter
+      (fun { holder = c; id; name; epoch } ->
+        ignore (Lease.release st.leases ~name ~epoch);
+        enqueue_auto_release st name;
+        send_response st c
+          (Wire.Error
+             {
+               id;
+               op = Wire.Op_acquire;
+               code = Wire.err_internal;
+               msg = "journal append failed";
+             }))
+      grants
 
 (* ------------------------------------------------------------------ *)
 (* I/O *)
@@ -909,6 +952,10 @@ let run ?handle cfg =
           stalled_conns = 0;
           queue_peak = 0;
           flush_deadline = 0.;
+          pending = [];
+          held = [];
+          journal_commits = 0;
+          journal_records = 0;
           acq_depth = Array.init cfg.shards (fun _ -> Atomic.make 0);
         }
       in
@@ -958,6 +1005,7 @@ let run ?handle cfg =
             if fd <> st.wake_r && Some fd <> st.listen_fd then
               match fd_conn fd with Some c -> on_readable st c | None -> ())
           readable;
+        commit st;
         List.iter
           (fun fd ->
             match fd_conn fd with Some c -> on_writable st c | None -> ())
@@ -1027,12 +1075,7 @@ let run ?handle cfg =
              or the conservation check would call them a leak. *)
           List.iter
             (fun (name, epoch, _holder, _token) ->
-              (match journal_append st (Journal.Release { name; epoch }) with
-              | Ok () -> ()
-              | Error m ->
-                st.cfg.log
-                  (Printf.sprintf
-                     "journal: drain release of %d not recorded (%s)" name m));
+              journal_push st (Journal.Release { name; epoch });
               enqueue_drain_release st name;
               incr drained)
             (Lease.expire_due st.leases ~now:infinity);
@@ -1052,7 +1095,9 @@ let run ?handle cfg =
           if (not unflushed) || now () > st.flush_deadline then running := false);
         ()
       done;
-      (* Teardown: close clients, stop workers, check slot conservation. *)
+      (* Teardown: commit what the last pass decided, close clients,
+         stop workers, check slot conservation. *)
+      commit st;
       List.iter (fun c -> if not c.dead then close_fd c.fd) (conn_list st);
       Hashtbl.reset st.conns;
       Array.iter (fun q -> Q.push q Quit) st.workers;

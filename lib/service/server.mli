@@ -26,17 +26,27 @@
     freeing a reissued cell.  Renew-vs-expiry races are settled by a
     monotonic lease epoch ({!Lease}).
 
-    {b Journal.}  With [journal_path] set, every grant is appended to a
-    crash-safe journal {e before} the client sees [Acquired]
-    (write-ahead; a failed append aborts the grant with
-    [err_internal]), and every release/expiry is appended as it
-    happens.  On restart the journal is replayed: live grants are
-    re-occupied in the shard pool and restored as orphan leases keeping
-    their epochs, so a [SIGKILL]-ed daemon never double-grants a name a
-    client still holds.  Restarting over live grants without [recover]
-    is refused (see {!recovery_refused}); a damaged journal (CRC/framing
-    failure before the tail) is always refused.  Journaling costs one
-    [fsync] per grant and is off by default.
+    {b Journal.}  With [journal_path] set, every grant is journaled
+    {e before} the client sees [Acquired] (write-ahead; a failed append
+    aborts the grant with [err_internal]), and every release/expiry is
+    journaled as it happens.  Records are group-committed: everything
+    one pass of the event loop decides (grants completed by the
+    workers, releases read from clients, expiries, drain releases) goes
+    to disk as one {!Journal.append_batch} — one write and one [fsync]
+    per pass, not per record.  Two invariants keep this as safe as a
+    per-record fsync: file order equals decision order, so a name's
+    [Release] always precedes the [Grant] that re-wins it and replay
+    never sees a double grant; and the commit runs after the pass's
+    reads and completions but before it writes any byte to a client,
+    so no [Acquired] leaves before the fsync that covers its grant.  A
+    failed commit aborts every grant in its batch.  On restart the
+    journal is replayed: live grants are re-occupied in the shard pool
+    and restored as orphan leases keeping their epochs, so a
+    [SIGKILL]-ed daemon never double-grants a name a client still
+    holds.  Restarting over live grants without [recover] is refused
+    (see {!recovery_refused}); a damaged journal (CRC/framing failure
+    before the tail) is always refused.  Journaling costs one [fsync]
+    per loop pass and is off by default.
 
     {b Overload.}  Admission is bounded end to end: each shard queue
     holds at most [max_queue] jobs (a full queue purges its
@@ -50,6 +60,14 @@
     {!Wire.Busy} while shedding — releases, renews and stats always
     execute, so the system drains itself back to health.  All deadline
     arithmetic runs on the monotonic clock ({!Mono}).
+
+    {b Stats.}  A [stats] request is answered inline with a
+    [renamed-stats] JSON object: the shard pool's counters ([taken]
+    and friends), lease and session holdings, request and shed
+    counters, the overload snapshot, and the journal's group-commit
+    counters [journal_commits] (batches made durable, one [fsync]
+    each) and [journal_records] (records in them), whose ratio is the
+    records per fsync of a live daemon.  Both stay 0 without a journal.
 
     {b Graceful shutdown} ([SIGTERM]/[SIGINT] via {!stop}, or a client
     [shutdown] request): the loop stops accepting connections and new

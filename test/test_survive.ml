@@ -1,9 +1,11 @@
 (* Service survivability: the lease table's epoch machinery (including
    the QCheck TTL-boundary race property), the crash journal (codec
-   round-trip, torn tails, CRC damage, replay, compaction, an Io_fault
-   kill-point sweep), and end-to-end daemon behavior — lease expiry,
-   renew heartbeats, idempotent-acquire dedup, journal write-ahead
-   rollback, crash recovery, and the durable client's reconnect. *)
+   round-trip, torn tails, CRC damage, replay, compaction, Io_fault
+   kill-point sweeps over single appends and group-commit batches), and
+   end-to-end daemon behavior — lease expiry, renew heartbeats,
+   idempotent-acquire dedup, journal write-ahead and batch rollback,
+   name recycling across a SIGKILL, crash recovery, and the durable
+   client's reconnect. *)
 
 open Service
 
@@ -307,6 +309,83 @@ let test_journal_kill_point_sweep () =
           done)
         kinds)
 
+(* The same sweep over one group-commit batch of mixed records, on top
+   of an already-committed batch: Short k at every frame boundary and
+   at cuts inside every frame, Drop and After_append must leave the
+   committed prefix, then a clean prefix of the batch — exactly the
+   frames that fit in the bytes written — and a torn tail only when the
+   cut fell inside a frame. *)
+let test_journal_batch_kill_point_sweep () =
+  let committed =
+    [
+      Journal.Grant { name = 3; epoch = 1; client = 1; token = 0 };
+      Journal.Grant { name = 4; epoch = 2; client = 1; token = 11 };
+    ]
+  in
+  let batch =
+    [
+      Journal.Release { name = 3; epoch = 1 };
+      Journal.Grant { name = 3; epoch = 3; client = 2; token = 12 };
+      Journal.Expire { name = 4; epoch = 2 };
+      Journal.Grant { name = 4; epoch = 4; client = 2; token = 0 };
+      Journal.Release { name = 3; epoch = 3 };
+    ]
+  in
+  let frame_bytes = function
+    | Journal.Grant _ -> 8 + 21
+    | Journal.Release _ | Journal.Expire _ -> 8 + 13
+  in
+  (* Byte offsets within the batch where each frame ends. *)
+  let total, rev_ends =
+    List.fold_left
+      (fun (o, acc) r ->
+        let o = o + frame_bytes r in
+        (o, o :: acc))
+      (0, []) batch
+  in
+  let ends = List.rev rev_ends in
+  let starts = 0 :: List.rev (List.tl rev_ends) in
+  let run kind =
+    let path = temp_journal () in
+    with_journal path (fun j ->
+        Journal.append_batch j committed;
+        Engine.Io_fault.arm { Engine.Io_fault.op = 0; kind };
+        match Journal.append_batch j batch with
+        | () -> Alcotest.fail "armed batch append did not fail"
+        | exception Engine.Io_fault.Injected _ -> Engine.Io_fault.disarm ());
+    let s = scan_ok path in
+    Sys.remove path;
+    s
+  in
+  let expect ~what ~written s =
+    let whole = List.length (List.filter (fun e -> e <= written) ends) in
+    Alcotest.(check int) (what ^ ": no damage") 0 s.Journal.damaged;
+    Alcotest.(check bool)
+      (what ^ ": committed records, then a clean prefix of the batch")
+      true
+      (s.Journal.records
+      = committed @ List.filteri (fun i _ -> i < whole) batch);
+    Alcotest.(check bool) (what ^ ": torn only mid-frame") true
+      (s.Journal.torn_tail = (written > 0 && not (List.mem written ends)))
+  in
+  Fun.protect ~finally:Engine.Io_fault.disarm (fun () ->
+      expect ~what:"Drop" ~written:0 (run Engine.Io_fault.Drop);
+      expect ~what:"After_append" ~written:total
+        (run Engine.Io_fault.After_append);
+      (* Each frame boundary, plus cuts inside each frame's header,
+         at the header/payload seam and one byte short of its end. *)
+      let cuts =
+        List.concat_map (fun o -> [ o; o + 1; o + 4; o + 8 ]) starts
+        @ List.map pred ends @ [ total ]
+      in
+      List.iter
+        (fun k ->
+          expect
+            ~what:(Printf.sprintf "Short %d" k)
+            ~written:k
+            (run (Engine.Io_fault.Short k)))
+        (List.sort_uniq compare cuts))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: leases, dedup, write-ahead, recovery, reconnect *)
 
@@ -470,6 +549,179 @@ let test_e2e_journal_write_ahead () =
       Alcotest.(check bool) "the acknowledged grant is journaled" true
         (List.mem_assoc name live.Journal.grants);
       Client.close c)
+
+(* Group-commit rollback: 16 acquires pipelined in one write, and the
+   first journal batch they produce fails.  Every grant in that batch
+   must be answered [err_internal] and returned to the pool; the rest
+   are acknowledged, and every acknowledged name is in the journal. *)
+let test_e2e_journal_batch_rollback () =
+  let path = fresh_socket_path () in
+  let journal = temp_journal () in
+  let s = start_server (base_cfg ~shards:1 ~journal path) in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Io_fault.disarm ();
+      (try ignore (stop_server s) with _ -> ());
+      try Sys.remove journal with Sys_error _ -> ())
+    (fun () ->
+      let c = get "connect" (Client.connect ~path ()) in
+      let n = 16 in
+      Engine.Io_fault.arm { Engine.Io_fault.op = 0; kind = Engine.Io_fault.Drop };
+      for i = 1 to n do
+        Client.post c
+          (Wire.Acquire { id = Client.fresh_id c; client = i; token = 0; deadline_ms = 0 })
+      done;
+      get "flush" (Client.flush c);
+      let acked = ref [] and aborted = ref 0 in
+      for _ = 1 to n do
+        match get "recv" (Client.recv c ~timeout:10.) with
+        | Some (Wire.Acquired { name; _ }) -> acked := name :: !acked
+        | Some (Wire.Error { code; _ }) when code = Wire.err_internal ->
+          incr aborted
+        | Some _ -> Alcotest.fail "unexpected reply to a pipelined acquire"
+        | None -> Alcotest.fail "pipelined acquire went unanswered"
+      done;
+      Engine.Io_fault.disarm ();
+      Alcotest.(check bool) "the failed batch aborted its grants" true
+        (!aborted >= 1);
+      Alcotest.(check int) "every acquire answered" n
+        (List.length !acked + !aborted);
+      (* Only committed records count: the aborted grants never reached
+         the journal, the acknowledged ones all did. *)
+      Alcotest.(check int) "journal_records counts the acknowledged grants"
+        (List.length !acked)
+        (stat_int c "journal_records");
+      let live =
+        Journal.replay (scan_ok journal).Journal.records
+      in
+      List.iter
+        (fun name ->
+          if not (List.mem_assoc name live.Journal.grants) then
+            Alcotest.failf "acknowledged name %d missing from the journal" name)
+        !acked;
+      wait_for "the batch rollback" (fun () ->
+          stat_int c "taken" = List.length !acked);
+      List.iter
+        (fun name -> getf "release" (Client.release c ~client:1 ~name))
+        !acked;
+      wait_for "every slot back" (fun () -> stat_int c "taken" = 0);
+      Client.close c)
+
+(* Name recycling under group commit, against a real process killed
+   with SIGKILL.  On a 4-holder pool a closed loop releases each name as
+   soon as it is granted and asks for another in the same write, while
+   a silent connection's two names expire under it, so client releases
+   and sweep expiries (pushed after a pass's commit) both feed names
+   back to re-grants.  The journal the kill leaves must replay with no
+   double grant and no stale release, and a --recover restart must
+   re-occupy exactly the names the loop still held. *)
+let renamed_exe = Filename.concat (Filename.concat ".." "bin") "renamed.exe"
+
+let spawn_renamed ~sock ~journal extra =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let args =
+    Array.of_list
+      ([ renamed_exe; "--socket"; sock; "--shards"; "1"; "--capacity"; "4";
+         "--journal"; journal; "--quiet" ]
+      @ extra)
+  in
+  let pid = Unix.create_process renamed_exe args Unix.stdin devnull devnull in
+  Unix.close devnull;
+  wait_for "renamed to listen" (fun () ->
+      match Client.connect ~path:sock () with
+      | Ok c ->
+        Client.close c;
+        true
+      | Error _ -> false);
+  pid
+
+let test_e2e_recycle_sigkill_recover () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock = fresh_socket_path () in
+  let journal = temp_journal () in
+  let ttl = 1.0 in
+  let pid = ref (Some (spawn_renamed ~sock ~journal [ "--lease-ttl"; "1" ])) in
+  let kill signal =
+    match !pid with
+    | None -> None
+    | Some p ->
+      pid := None;
+      (try Unix.kill p signal with Unix.Unix_error _ -> ());
+      Some (snd (Unix.waitpid [] p))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (kill Sys.sigkill);
+      (try Sys.remove journal with Sys_error _ -> ());
+      try Unix.unlink sock with Unix.Unix_error _ -> ())
+    (fun () ->
+      let silent = get "connect" (Client.connect ~path:sock ()) in
+      for i = 1 to 2 do
+        ignore (getf "silent acquire" (Client.acquire silent ~client:i))
+      done;
+      let c = get "connect" (Client.connect ~path:sock ()) in
+      let acquire () =
+        Client.post c
+          (Wire.Acquire { id = Client.fresh_id c; client = 1; token = 0; deadline_ms = 0 })
+      in
+      (* Churn past the silent names' TTL plus a sweep period. *)
+      let churn_until = Unix.gettimeofday () +. (1.6 *. ttl) in
+      let window = 2 in
+      for _ = 1 to window do acquire () done;
+      get "flush" (Client.flush c);
+      let held = ref [] and outstanding = ref window in
+      while !outstanding > 0 do
+        (match get "recv" (Client.recv c ~timeout:10.) with
+        | Some (Wire.Acquired { name; _ }) ->
+          decr outstanding;
+          if Unix.gettimeofday () < churn_until then begin
+            Client.post c
+              (Wire.Release { id = Client.fresh_id c; client = 1; name });
+            acquire ();
+            outstanding := !outstanding + 2
+          end
+          else held := name :: !held
+        | Some (Wire.Released _) -> decr outstanding
+        | Some (Wire.Error { code; _ }) when code = Wire.err_capacity ->
+          (* every cell taken until the silent names expire: ask again *)
+          acquire ()
+        | Some _ -> Alcotest.fail "unexpected reply in the recycle loop"
+        | None -> Alcotest.fail "recycle loop stalled");
+        get "flush" (Client.flush c)
+      done;
+      Alcotest.(check int) "the window ends held" window (List.length !held);
+      Alcotest.(check bool) "the silent names expired and recycled" true
+        (stat_int c "expired_leases" >= 2);
+      Alcotest.(check bool) "group commit batched the records" true
+        (stat_int c "journal_records" > stat_int c "journal_commits");
+      (* Every reply is in: each Released came after the commit of its
+         record, so the journal on disk is exactly the decided state. *)
+      (match kill Sys.sigkill with
+      | Some (Unix.WSIGNALED _) -> ()
+      | _ -> Alcotest.fail "renamed did not die of SIGKILL");
+      Client.close c;
+      Client.close silent;
+      let s = scan_ok journal in
+      Alcotest.(check int) "no damage" 0 s.Journal.damaged;
+      let live = Journal.replay s.Journal.records in
+      Alcotest.(check int) "no double grants" 0 live.Journal.double_grants;
+      Alcotest.(check int) "no stale releases" 0 live.Journal.stale_releases;
+      Alcotest.(check (list int)) "the journal holds exactly the held names"
+        (List.sort compare !held)
+        (List.map fst live.Journal.grants);
+      pid := Some (spawn_renamed ~sock ~journal [ "--recover" ]);
+      let c = get "connect" (Client.connect ~path:sock ()) in
+      Alcotest.(check int) "recovered the held names" window
+        (stat_int c "recovered");
+      Alcotest.(check int) "and occupies nothing else" window
+        (stat_int c "taken");
+      Client.close c;
+      Alcotest.(check (list int)) "compacted to the held names"
+        (List.sort compare !held)
+        (List.map fst (Journal.replay (scan_ok journal).Journal.records).Journal.grants);
+      match kill Sys.sigterm with
+      | Some (Unix.WEXITED 0) -> ()
+      | _ -> Alcotest.fail "recovered daemon did not drain cleanly")
 
 (* Craft a journal holding live grants, as a SIGKILL-ed daemon leaves
    behind. *)
@@ -651,6 +903,7 @@ let suite =
         tc "replay" `Quick test_journal_replay;
         tc "rewrite compaction" `Quick test_journal_rewrite;
         tc "kill-point sweep" `Quick test_journal_kill_point_sweep;
+        tc "batch kill-point sweep" `Quick test_journal_batch_kill_point_sweep;
       ] );
     ( "survive.e2e",
       [
@@ -658,6 +911,9 @@ let suite =
         tc "renew keeps names alive" `Quick test_e2e_renew_keeps_alive;
         tc "idempotent acquire dedup" `Quick test_e2e_token_dedup;
         tc "journal write-ahead rollback" `Quick test_e2e_journal_write_ahead;
+        tc "group-commit batch rollback" `Quick test_e2e_journal_batch_rollback;
+        tc "name recycling survives SIGKILL" `Quick
+          test_e2e_recycle_sigkill_recover;
         tc "crash recovery re-occupies grants" `Quick test_e2e_recovery;
         tc "recovery refused without --recover" `Quick
           test_e2e_recovery_refused;
