@@ -8,6 +8,8 @@ type t = {
   fd : Unix.file_descr;
   payload : Bytes.t;  (* one record's payload, re-encoded per record *)
   batch : Buffer.t;  (* one batch's frames; cleared, never shrunk *)
+  mutable committed : int;  (* file size after the last durable batch *)
+  mutable dirty : bool;  (* bytes past [committed] not yet cut off *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -99,26 +101,54 @@ let add_frame buf payload r =
 
 let open_append ~path =
   match open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path with
-  | oc ->
-    Ok
-      {
-        oc;
-        fd = Unix.descr_of_out_channel oc;
-        payload = Bytes.create max_record_payload;
-        batch = Buffer.create 1024;
-      }
+  | oc -> (
+    let fd = Unix.descr_of_out_channel oc in
+    match (Unix.fstat fd).Unix.st_size with
+    | committed ->
+      Ok
+        {
+          oc;
+          fd;
+          payload = Bytes.create max_record_payload;
+          batch = Buffer.create 1024;
+          committed;
+          dirty = false;
+        }
+    | exception Unix.Unix_error (e, _, _) ->
+      close_out_noerr oc;
+      Error (Printf.sprintf "journal %s: %s" path (Unix.error_message e)))
   | exception Sys_error e -> Error (Printf.sprintf "journal %s: %s" path e)
+
+(* Cut the file back to the last durable batch.  The channel is opened
+   for appending, so the next write lands at the new end. *)
+let cut_back t =
+  Unix.ftruncate t.fd t.committed;
+  t.dirty <- false
 
 let append_batch t = function
   | [] -> ()
-  | records ->
+  | records -> (
+    (* A cut that failed after an earlier failed batch is retried
+       first: a batch must never land after a torn prefix. *)
+    if t.dirty then cut_back t;
     Buffer.clear t.batch;
     List.iter (add_frame t.batch t.payload) records;
     (* guarded_write flushes; the fsync makes the whole batch
        power-loss durable before the caller acts on any of it
        (write-ahead). *)
-    Engine.Io_fault.guarded_write ~oc:t.oc (Buffer.contents t.batch);
-    Unix.fsync t.fd
+    match
+      Engine.Io_fault.guarded_write ~oc:t.oc (Buffer.contents t.batch);
+      Unix.fsync t.fd
+    with
+    | () -> t.committed <- t.committed + Buffer.length t.batch
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (* Whatever prefix of the batch reached the file is not
+         acknowledged: remove it, so the next batch follows the last
+         durable one and [scan] sees no damage. *)
+      t.dirty <- true;
+      (try cut_back t with Unix.Unix_error _ -> ());
+      Printexc.raise_with_backtrace e bt)
 
 let append t r = append_batch t [ r ]
 

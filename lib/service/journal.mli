@@ -15,9 +15,10 @@
     write/fsync discipline the engine's stores are tested under)
     followed by one [fsync].  A crash mid-append therefore leaves a
     clean prefix of the batch and at most one torn record, only at the
-    tail; {!scan} tolerates it.  A CRC mismatch on a {e complete}
-    record is real damage — recovery refuses it, [repro_cli doctor]
-    reports it.
+    tail; {!scan} tolerates it.  A failed append the process survives
+    leaves nothing: the batch is cut off again (see {!append_batch}).
+    A CRC mismatch on a {e complete} record is real damage — recovery
+    refuses it, [repro_cli doctor] reports it.
 
     {b Batch contract.}  The server collects every record one pass of
     its event loop decides and commits them together, before that
@@ -50,10 +51,18 @@ val append_batch : t -> record list -> unit
     empty batch touches nothing.  @raise Engine.Io_fault.Injected
     under an armed fault; @raise Sys_error/[Unix.Unix_error] on real
     I/O failure.  Either way no record of the batch may be treated as
-    durable (any prefix of it may have reached the file).  The caller
-    decides policy: a failed batch must abort its [Grant]s, while its
-    [Release]/[Expire] records may be lost (the stale grant is
-    reclaimed by lease expiry after recovery). *)
+    durable.  Before re-raising, the file is truncated back to the end
+    of the last durable batch ([t] tracks that offset), so a prefix the
+    failed write left behind (a short write, or a whole batch whose
+    [fsync] failed) is gone and the next batch follows the durable ones
+    directly: a daemon that survives a failed batch keeps a journal
+    that {!scan}s with no damage and no torn tail.  If the truncation
+    itself fails, the next {!append_batch} retries it first and raises
+    rather than append after torn bytes.  Only a process killed
+    mid-write leaves a torn tail.  The caller decides policy: a failed
+    batch must abort its [Grant]s, while its [Release]/[Expire] records
+    are lost (the stale grant is reclaimed by lease expiry after
+    recovery). *)
 
 val append : t -> record -> unit
 (** [append t r] is [append_batch t [r]]. *)

@@ -185,8 +185,16 @@ type state = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   conns : (int, conn) Hashtbl.t;
+  by_fd : (Unix.file_descr, conn) Hashtbl.t;
+      (* live connections by socket, for the readiness lists; an entry
+         leaves at disconnect, before its fd number can be reused *)
   started : float;
   scratch : Bytes.t;
+  enc : Buffer.t;  (* one response's encoding, reused for every reply *)
+  wake_pending : bool Atomic.t;
+      (* a worker has poked the self-pipe since the loop last reset
+         this: later completions need no poke of their own *)
+  wakeups : int Atomic.t;  (* self-pipe pokes by workers *)
   overload : Overload.t;
   mutable listen_fd : Unix.file_descr option;
   mutable phase : phase;
@@ -212,6 +220,7 @@ type state = {
   mutable held : held_grant list;  (* grants awaiting commit, newest first *)
   mutable journal_commits : int;  (* batches made durable *)
   mutable journal_records : int;  (* records in those batches *)
+  mutable socket_writes : int;  (* client-socket write calls *)
   acq_depth : int Atomic.t array;
       (* queued (not yet picked) acquires per shard: the class the
          admission bound governs.  Releases share the worker queues but
@@ -228,6 +237,19 @@ let sweep_period st = Float.max 0.01 (Lease.ttl_s st.leases /. 10.)
 (* ------------------------------------------------------------------ *)
 (* Worker domains: each owns one shard and loops on its queue. *)
 
+(* Hand a completion to the I/O domain, waking it at most once per
+   loop pass.  The push happens before the exchange, and the loop resets
+   [wake_pending] before it drains the outbox.  So an exchange that sees
+   [true] comes before that reset, and the drain after the reset picks
+   this completion up; an exchange that sees [false] pokes, and the poke
+   wakes a pass that resets and drains. *)
+let complete st op =
+  Q.push st.outbox op;
+  if not (Atomic.exchange st.wake_pending true) then begin
+    Atomic.incr st.wakeups;
+    poke st.wake_w
+  end
+
 let worker_loop st i =
   let q = st.workers.(i) in
   let continue = ref true in
@@ -242,10 +264,9 @@ let worker_loop st i =
          already timed out on is shed, not served — executing it would
          burn a slot nobody will release promptly. *)
       if picked > deadline then begin
-        Q.push st.outbox
+        complete st
           (Did_acquire
-             { conn; id; client; token; name = None; expired = true; waited_ms });
-        poke st.wake_w
+             { conn; id; client; token; name = None; expired = true; waited_ms })
       end
       else begin
         let name =
@@ -256,10 +277,9 @@ let worker_loop st i =
                  (Printexc.to_string e));
             None
         in
-        Q.push st.outbox
+        complete st
           (Did_acquire
-             { conn; id; client; token; name; expired = false; waited_ms });
-        poke st.wake_w
+             { conn; id; client; token; name; expired = false; waited_ms })
       end
     | Release_job { conn; id; name; drain } ->
       (try Shard.release st.pool ~name
@@ -267,8 +287,7 @@ let worker_loop st i =
          st.cfg.log
            (Printf.sprintf "worker %d: release %d raised %s" i name
               (Printexc.to_string e)));
-      Q.push st.outbox (Did_release { conn; id; name; drain });
-      poke st.wake_w
+      complete st (Did_release { conn; id; name; drain })
   done
 
 (* ------------------------------------------------------------------ *)
@@ -276,10 +295,10 @@ let worker_loop st i =
 
 let send_response st c r =
   if not c.dead then begin
-    let b = Buffer.create 64 in
     let mode = Option.value (Session.mode c.session) ~default:Wire.Binary in
-    Wire.encode_response mode b r;
-    Session.queue_out c.session (Buffer.contents b);
+    Buffer.clear st.enc;
+    Wire.encode_response mode st.enc r;
+    Session.append_out c.session st.enc;
     (match r with Wire.Error _ -> st.errors <- st.errors + 1 | _ -> ())
   end
 
@@ -375,6 +394,7 @@ let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let disconnect st c =
   if not c.dead then begin
     c.dead <- true;
+    Hashtbl.remove st.by_fd c.fd;
     close_fd c.fd;
     Session.clear_out c.session;
     List.iter
@@ -428,6 +448,8 @@ let stats_json st =
         ("journal", Jsonu.Bool (Option.is_some st.journal));
         ("journal_commits", Jsonu.Int st.journal_commits);
         ("journal_records", Jsonu.Int st.journal_records);
+        ("socket_writes", Jsonu.Int st.socket_writes);
+        ("wakeups", Jsonu.Int (Atomic.get st.wakeups));
         ("conns", Jsonu.Int (Hashtbl.length st.conns));
         ("conns_served", Jsonu.Int st.conns_served);
         ("requests", Jsonu.Int st.requests);
@@ -694,19 +716,22 @@ let on_readable st c =
            { id = 0; op = Wire.Op_acquire; code = Wire.err_proto; msg });
       c.closing <- true)
 
+(* Everything queued for [c] goes out in one write.  Only a backlog
+   past the 64 KiB one write takes, or a peer whose socket buffer
+   takes less, costs more: the loop writes until the backlog is gone or
+   the socket refuses (EAGAIN). *)
 let on_writable st c =
   try
     let continue = ref true in
     while !continue do
       match Session.peek_out c.session with
       | None -> continue := false
-      | Some (head, off) ->
-        let len = String.length head - off in
+      | Some (buf, off, len) ->
+        st.socket_writes <- st.socket_writes + 1;
         (* repro-lint: allow journal-write — client socket, not a journal fd *)
-        let n = Unix.write_substring c.fd head off len in
+        let n = Unix.single_write c.fd buf off len in
         Session.advance_out c.session n;
-        if n > 0 then c.last_progress <- now ();
-        if n < len then continue := false
+        if n > 0 then c.last_progress <- now () else continue := false
     done
   with
   | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
@@ -731,7 +756,7 @@ let accept_ready st listen_fd =
         let cid = st.next_cid in
         st.next_cid <- cid + 1;
         st.conns_served <- st.conns_served + 1;
-        Hashtbl.replace st.conns cid
+        let c =
           {
             fd;
             cid;
@@ -741,6 +766,9 @@ let accept_ready st listen_fd =
             dead = false;
             last_progress = now ();
           }
+        in
+        Hashtbl.replace st.conns cid c;
+        Hashtbl.replace st.by_fd fd c
       end
   done
 
@@ -929,8 +957,12 @@ let run ?handle cfg =
           wake_r;
           wake_w;
           conns = Hashtbl.create 64;
+          by_fd = Hashtbl.create 64;
           started = now ();
           scratch = Bytes.create 65536;
+          enc = Buffer.create 256;
+          wake_pending = Atomic.make false;
+          wakeups = Atomic.make 0;
           overload =
             Overload.create ?config:cfg.overload ~queue_bound:cfg.max_queue ();
           listen_fd = Some listen_fd;
@@ -956,6 +988,7 @@ let run ?handle cfg =
           held = [];
           journal_commits = 0;
           journal_records = 0;
+          socket_writes = 0;
           acq_depth = Array.init cfg.shards (fun _ -> Atomic.make 0);
         }
       in
@@ -975,9 +1008,7 @@ let run ?handle cfg =
            (match cfg.journal_path with
            | Some p -> Printf.sprintf ", journal %s" p
            | None -> ""));
-      let fd_conn fd =
-        List.find_opt (fun c -> (not c.dead) && c.fd = fd) (conn_list st)
-      in
+      let fd_conn fd = Hashtbl.find_opt st.by_fd fd in
       let close_listener () =
         match st.listen_fd with
         | None -> ()
@@ -989,13 +1020,15 @@ let run ?handle cfg =
       let running = ref true in
       while !running do
         let readable, writable = select_step st in
-        (* Wake bytes carry no data; drain and discard. *)
+        (* Wake bytes carry no data; drain and discard.  Then re-arm the
+           workers' poke before draining the outbox (see [complete]). *)
         if List.mem st.wake_r readable then (
           try
             while Unix.read st.wake_r st.scratch 0 512 > 0 do
               ()
             done
           with Unix.Unix_error _ -> ());
+        Atomic.set st.wake_pending false;
         List.iter (handle_done st) (Q.drain st.outbox);
         (match st.listen_fd with
         | Some fd when List.mem fd readable -> accept_ready st fd
@@ -1100,6 +1133,7 @@ let run ?handle cfg =
       commit st;
       List.iter (fun c -> if not c.dead then close_fd c.fd) (conn_list st);
       Hashtbl.reset st.conns;
+      Hashtbl.reset st.by_fd;
       Array.iter (fun q -> Q.push q Quit) st.workers;
       Array.iter Domain.join domains;
       close_listener ();

@@ -1,66 +1,79 @@
-type t = {
-  mutable mode : Wire.mode option;
-  mutable buf : Bytes.t;
-  mutable start : int;  (* first unconsumed byte *)
-  mutable fill : int;  (* one past the last valid byte *)
-  mutable corrupt : string option;
-  held : (int, unit) Hashtbl.t;
-  out : string Queue.t;  (* encoded responses awaiting write *)
-  mutable out_off : int;  (* offset into the head of [out] *)
-  mutable out_bytes : int;  (* unsent bytes across the whole queue *)
+(* A byte FIFO over one growable buffer: the live bytes are
+   [bytes.[start, fill)].  The inbound side keeps bytes waiting for the
+   rest of their frame, the outbound side encoded responses waiting for
+   the peer. *)
+type window = {
+  mutable bytes : Bytes.t;
+  mutable start : int;  (* first live byte *)
+  mutable fill : int;  (* one past the last live byte *)
 }
 
-let create () =
-  {
-    mode = None;
-    buf = Bytes.create 4096;
-    start = 0;
-    fill = 0;
-    corrupt = None;
-    held = Hashtbl.create 16;
-    out = Queue.create ();
-    out_off = 0;
-    out_bytes = 0;
-  }
+let window n = { bytes = Bytes.create n; start = 0; fill = 0 }
+let live w = w.fill - w.start
 
-let mode t = t.mode
-let buffered t = t.fill - t.start
-
-(* Make room for [extra] bytes: compact the live region to the front,
-   growing the backing store only when compaction is not enough.  The
-   live region is bounded by max_frame + header, so the buffer is too. *)
-let reserve t extra =
-  let live = t.fill - t.start in
-  if t.fill + extra > Bytes.length t.buf then begin
+(* Make room for [extra] bytes at [fill]: compact the live region to the
+   front, growing the backing store only when compaction is not
+   enough. *)
+let reserve w extra =
+  let live = live w in
+  if w.fill + extra > Bytes.length w.bytes then begin
     let needed = live + extra in
     let target =
-      if needed <= Bytes.length t.buf then Bytes.length t.buf
+      if needed <= Bytes.length w.bytes then Bytes.length w.bytes
       else
-        let n = ref (Bytes.length t.buf) in
+        let n = ref (Bytes.length w.bytes) in
         while !n < needed do
           n := !n * 2
         done;
         !n
     in
-    let dst = if target = Bytes.length t.buf then t.buf else Bytes.create target in
-    Bytes.blit t.buf t.start dst 0 live;
-    t.buf <- dst;
-    t.start <- 0;
-    t.fill <- live
+    let dst =
+      if target = Bytes.length w.bytes then w.bytes else Bytes.create target
+    in
+    Bytes.blit w.bytes w.start dst 0 live;
+    w.bytes <- dst;
+    w.start <- 0;
+    w.fill <- live
   end
+
+(* Both windows start at this size.  The inbound live region is bounded
+   by max_frame + header, so it never grows far; the outbound one grows
+   with a slow reader's backlog and shrinks back once it drains. *)
+let initial_size = 4096
+
+type t = {
+  mutable mode : Wire.mode option;
+  inb : window;
+  out : window;
+  mutable corrupt : string option;
+  held : (int, unit) Hashtbl.t;
+}
+
+let create () =
+  {
+    mode = None;
+    inb = window initial_size;
+    out = window initial_size;
+    corrupt = None;
+    held = Hashtbl.create 16;
+  }
+
+let mode t = t.mode
+let buffered t = live t.inb
 
 let feed t ~buf ~len =
   match t.corrupt with
   | Some msg -> Result.Error msg
   | None ->
+    let w = t.inb in
     if len > 0 then begin
-      reserve t len;
-      Bytes.blit buf 0 t.buf t.fill len;
-      t.fill <- t.fill + len
+      reserve w len;
+      Bytes.blit buf 0 w.bytes w.fill len;
+      w.fill <- w.fill + len
     end;
-    if t.mode = None && t.fill > t.start then
+    if t.mode = None && w.fill > w.start then
       t.mode <-
-        Some (if Bytes.get t.buf t.start = '{' then Wire.Json else Wire.Binary);
+        Some (if Bytes.get w.bytes w.start = '{' then Wire.Json else Wire.Binary);
     let out = ref [] in
     let err = ref None in
     (match t.mode with
@@ -69,10 +82,10 @@ let feed t ~buf ~len =
       let continue = ref true in
       while !continue do
         match
-          Wire.decode_request mode t.buf ~pos:t.start ~len:(t.fill - t.start)
+          Wire.decode_request mode w.bytes ~pos:w.start ~len:(live w)
         with
         | Wire.Frame (r, consumed) ->
-          t.start <- t.start + consumed;
+          w.start <- w.start + consumed;
           out := r :: !out
         | Wire.Need_more -> continue := false
         | Wire.Corrupt msg ->
@@ -83,46 +96,51 @@ let feed t ~buf ~len =
     (match !err with
     | Some msg -> Result.Error msg
     | None ->
-      if t.start = t.fill then begin
-        t.start <- 0;
-        t.fill <- 0
+      if w.start = w.fill then begin
+        w.start <- 0;
+        w.fill <- 0
       end;
       Result.Ok (List.rev !out))
 
 (* Outbound buffering lives with the session so the server can account
    for a slow reader's backlog in one place: [out_bytes] is the number
-   the backpressure policy compares against its bound. *)
+   the backpressure policy compares against its bound.  Every response
+   a pass queues lands in one contiguous region, so the server sends
+   them all with one write. *)
 
-let queue_out t s =
-  if String.length s > 0 then begin
-    Queue.push s t.out;
-    t.out_bytes <- t.out_bytes + String.length s
+let append_out t b =
+  let n = Buffer.length b in
+  if n > 0 then begin
+    let w = t.out in
+    reserve w n;
+    Buffer.blit b 0 w.bytes w.fill n;
+    w.fill <- w.fill + n
   end
 
-let out_pending t = not (Queue.is_empty t.out)
-let out_bytes t = t.out_bytes
+let out_pending t = live t.out > 0
+let out_bytes t = live t.out
 
 let peek_out t =
-  if Queue.is_empty t.out then None else Some (Queue.peek t.out, t.out_off)
+  let w = t.out in
+  if live w = 0 then None else Some (w.bytes, w.start, live w)
+
+(* Rewind an empty outbound window, returning a backing store a slow
+   reader grew to its initial size: otherwise every connection would
+   keep its high-water mark for life. *)
+let reset_out w =
+  w.start <- 0;
+  w.fill <- 0;
+  if Bytes.length w.bytes > initial_size then w.bytes <- Bytes.create initial_size
 
 let advance_out t n =
+  let w = t.out in
   if n < 0 then invalid_arg "Session.advance_out: negative";
-  if n > 0 then begin
-    let head = Queue.peek t.out in
-    let left = String.length head - t.out_off in
-    if n > left then invalid_arg "Session.advance_out: past the head chunk";
-    t.out_bytes <- t.out_bytes - n;
-    if n = left then begin
-      ignore (Queue.pop t.out);
-      t.out_off <- 0
-    end
-    else t.out_off <- t.out_off + n
-  end
+  if n > live w then invalid_arg "Session.advance_out: past the unsent bytes";
+  w.start <- w.start + n;
+  if w.start = w.fill then reset_out w
 
-let clear_out t =
-  Queue.clear t.out;
-  t.out_off <- 0;
-  t.out_bytes <- 0
+let clear_out t = reset_out t.out
+let out_capacity t = Bytes.length t.out.bytes
 
 let note_acquired t name = Hashtbl.replace t.held name ()
 let note_released t name = Hashtbl.remove t.held name

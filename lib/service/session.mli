@@ -31,26 +31,41 @@ val buffered : t -> int
 
 (** {1 Outbound buffer}
 
-    Encoded responses waiting for the peer to drain them.  The queue
-    itself is unbounded — the {e server} enforces the bound by reading
-    {!out_bytes} and pausing reads / disconnecting past its limits
-    (backpressure policy is the server's job; byte accounting is the
-    session's). *)
+    Encoded responses waiting for the peer to drain them, kept as one
+    contiguous byte region per connection (a growable buffer with start
+    and fill offsets, compacted on append like the inbound side).
+    Everything the server queues in one pass of its event loop is
+    therefore sent with a single [write], however many responses it
+    holds.  The buffer starts at 4 KiB; a slow reader's backlog grows it
+    by doubling, and once the backlog drains it returns to 4 KiB, so a
+    connection never keeps its high-water mark.
 
-val queue_out : t -> string -> unit
+    The region itself is unbounded — the {e server} enforces the bound
+    by reading {!out_bytes} and pausing reads / disconnecting past its
+    limits (backpressure policy is the server's job; byte accounting is
+    the session's). *)
+
+val append_out : t -> Buffer.t -> unit
+(** Append the buffer's contents to the unsent region (the buffer is
+    copied, not kept: the caller may clear and reuse it). *)
+
 val out_pending : t -> bool
 val out_bytes : t -> int
-(** Unsent bytes across the whole queue — the backpressure signal. *)
+(** Unsent bytes — the backpressure signal. *)
 
-val peek_out : t -> (string * int) option
-(** The head chunk and the offset already written from it. *)
+val peek_out : t -> (Bytes.t * int * int) option
+(** [Some (buf, off, len)]: every unsent byte, as [buf.[off, off+len)].
+    The bytes are the session's own and are valid only until the next
+    {!append_out}, {!advance_out} or {!clear_out}. *)
 
 val advance_out : t -> int -> unit
-(** Consume [n] bytes from the head chunk ([n] from {!peek_out}'s
-    remaining length); pops the chunk when it completes. *)
+(** Consume the first [n] unsent bytes ([0 <= n <= out_bytes]). *)
 
 val clear_out : t -> unit
 (** Drop everything unsent (connection teardown). *)
+
+val out_capacity : t -> int
+(** Size of the outbound backing store (tests/diagnostics). *)
 
 (** {1 Held-name ledger} *)
 

@@ -285,6 +285,90 @@ let test_session_ledger () =
   Alcotest.(check bool) "5 released" false (Session.holds sess 5);
   Alcotest.(check (list int)) "ledger content" [ 9 ] (Session.held sess)
 
+(* The outbound buffer: one contiguous unsent region whose size is
+   [out_bytes] after every step, whatever mix of appends and partial
+   writes produced it. *)
+let test_session_outbound () =
+  let sess = Session.create () in
+  let b = Buffer.create 64 in
+  let expect = Buffer.create 64 in
+  let check what =
+    Alcotest.(check int) (what ^ ": out_bytes") (Buffer.length expect)
+      (Session.out_bytes sess);
+    Alcotest.(check bool) (what ^ ": out_pending")
+      (Buffer.length expect > 0) (Session.out_pending sess);
+    match Session.peek_out sess with
+    | None -> Alcotest.(check int) (what ^ ": nothing unsent") 0 (Buffer.length expect)
+    | Some (buf, off, len) ->
+      Alcotest.(check string) (what ^ ": the unsent region")
+        (Buffer.contents expect) (Bytes.sub_string buf off len)
+  in
+  let append s =
+    Buffer.clear b;
+    Buffer.add_string b s;
+    Session.append_out sess b;
+    Buffer.add_string expect s
+  in
+  let advance n =
+    Session.advance_out sess n;
+    let rest = Buffer.sub expect n (Buffer.length expect - n) in
+    Buffer.clear expect;
+    Buffer.add_string expect rest
+  in
+  let initial = Session.out_capacity sess in
+  check "fresh";
+  Buffer.clear b;
+  Session.append_out sess b;
+  check "empty append";
+  (* Interleaved appends and partial writes. *)
+  append "alpha";
+  append "beta";
+  check "two appends";
+  advance 3;
+  check "partial write inside the first response";
+  append "gamma";
+  advance 4;
+  check "partial write across a response boundary";
+  advance 0;
+  check "zero-byte write";
+  (* Compaction: the unsent region moves to the front instead of the
+     buffer growing, while it still fits. *)
+  append (String.make (initial - 20) 'x');
+  advance (initial - 30);
+  append (String.make 100 'y');
+  check "append past the end compacts";
+  Alcotest.(check int) "compaction did not grow the buffer" initial
+    (Session.out_capacity sess);
+  (* A slow reader's backlog grows the buffer past its initial size... *)
+  for i = 1 to 10 do
+    append (String.make 1000 (Char.chr (Char.code 'a' + i)))
+  done;
+  check "backlog past the initial size";
+  Alcotest.(check bool) "grown past the initial size" true
+    (Session.out_capacity sess > initial);
+  advance 5000;
+  check "partial drain keeps the rest";
+  Alcotest.(check bool) "still grown while bytes are unsent" true
+    (Session.out_capacity sess > initial);
+  (* ...and returns it to that size once it drains. *)
+  advance (Session.out_bytes sess);
+  check "drained";
+  Alcotest.(check int) "shrunk back after the drain" initial
+    (Session.out_capacity sess);
+  append "after";
+  check "usable after the shrink";
+  for _ = 1 to 3 do
+    append (String.make 3000 'z')
+  done;
+  Session.clear_out sess;
+  Buffer.clear expect;
+  check "clear_out drops everything";
+  Alcotest.(check int) "clear_out shrinks too" initial
+    (Session.out_capacity sess);
+  Alcotest.check_raises "advance past the unsent bytes"
+    (Invalid_argument "Session.advance_out: past the unsent bytes")
+    (fun () -> Session.advance_out sess 1)
+
 (* ------------------------------------------------------------------ *)
 (* Hdr histogram *)
 
@@ -715,6 +799,118 @@ let test_e2e_load_gen () =
         Alcotest.(check int) "every latency recorded" r.Load_gen.acquired
           (Stats.Hdr.count r.Load_gen.latency))
 
+(* Post every request (each built from a fresh id) with one flush, then
+   collect as many replies, in arrival order. *)
+let exchange c reqs =
+  let ids =
+    List.map
+      (fun mk ->
+        let id = Client.fresh_id c in
+        Client.post c (mk id);
+        id)
+      reqs
+  in
+  get "flush" (Client.flush c);
+  let replies =
+    List.map
+      (fun _ ->
+        match get "recv" (Client.recv c ~timeout:10.) with
+        | Some r -> r
+        | None -> Alcotest.fail "a pipelined request went unanswered")
+      ids
+  in
+  (ids, replies)
+
+let acquires n =
+  List.init n (fun i id ->
+      Wire.Acquire { id; client = i; token = 0; deadline_ms = 0 })
+
+let releases_of replies =
+  List.map
+    (function
+      | Wire.Acquired { name; _ } -> fun id -> Wire.Release { id; client = 0; name }
+      | r -> Alcotest.failf "unexpected reply %s" (show_resp r))
+    replies
+
+(* 256 acquires pipelined in one write, then 256 releases: every
+   request id is answered exactly once however the server batches the
+   completions and coalesces the replies into writes. *)
+let test_e2e_pipelined_exactly_once () =
+  let path = fresh_socket_path () in
+  let pid = start_server ~capacity:512 path in
+  Fun.protect
+    ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
+    (fun () ->
+      let c = get "connect" (Client.connect ~path ()) in
+      let n = 256 in
+      let exactly_once (ids, replies) =
+        Alcotest.(check (list int)) "every id answered exactly once"
+          (List.sort compare ids)
+          (List.sort compare (List.map Wire.response_id replies));
+        replies
+      in
+      let granted = exactly_once (exchange c (acquires n)) in
+      Alcotest.(check int) "256 distinct names" n
+        (List.length
+           (List.sort_uniq compare
+              (List.filter_map
+                 (function Wire.Acquired { name; _ } -> Some name | _ -> None)
+                 granted)));
+      List.iter
+        (function
+          | Wire.Released _ -> ()
+          | r -> Alcotest.failf "unexpected reply %s" (show_resp r))
+        (exactly_once (exchange c (releases_of granted)));
+      let stats = Jsonu.obj (getf "stats" (Client.stats c)) in
+      Alcotest.(check int) "all returned" 0 (Jsonu.int_ stats "taken");
+      (* 512 replies and 512 completions: writes and wake-ups are
+         shared between them, not paid once each (a run reads ~15 of
+         each; the bound is one per two). *)
+      let writes = Jsonu.int_ stats "socket_writes"
+      and wakeups = Jsonu.int_ stats "wakeups" in
+      if writes >= n then
+        Alcotest.failf "%d socket writes for %d replies" writes (2 * n);
+      if wakeups >= n then
+        Alcotest.failf "%d wake-ups for %d completions" wakeups (2 * n);
+      Client.close c)
+
+(* Lost-wake-up guard: a completion whose worker skipped the self-pipe
+   poke waits for the loop's 100 ms select timeout.  2,000 sequential
+   round trips, each a single request, must all finish under it; so
+   must 10,000 bursts of 8 pipelined acquires then 8 releases over both
+   shards, where completions race the loop's re-arming of the poke (a
+   re-arm moved after the outbox drain failed here in 10 runs of 10). *)
+let test_e2e_no_lost_wakeup () =
+  let path = fresh_socket_path () in
+  let pid = start_server path in
+  Fun.protect
+    ~finally:(fun () -> try ignore (stop_server pid) with _ -> ())
+    (fun () ->
+      let c = get "connect" (Client.connect ~path ()) in
+      let timed what i f =
+        let t0 = Mono.now () in
+        f ();
+        let took = Mono.now () -. t0 in
+        if took >= 0.1 then
+          Alcotest.failf "%s %d took %.1f ms: a wake-up was lost" what i
+            (took *. 1000.)
+      in
+      let held = ref None in
+      for i = 1 to 2000 do
+        timed "round trip" i (fun () ->
+            match !held with
+            | None -> held := Some (getf "acquire" (Client.acquire c ~client:i))
+            | Some name ->
+              getf "release" (Client.release c ~client:i ~name);
+              held := None)
+      done;
+      for b = 1 to 10_000 do
+        timed "burst" b (fun () ->
+            let _, granted = exchange c (acquires 8) in
+            ignore (exchange c (releases_of granted)))
+      done;
+      Client.close c)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -741,6 +937,7 @@ let suite =
         tc "mode detection" `Quick test_session_mode_detection;
         tc "corruption latches" `Quick test_session_corrupt_latch;
         tc "held-name ledger" `Quick test_session_ledger;
+        tc "outbound buffer" `Quick test_session_outbound;
       ] );
     ( "service.hdr",
       [
@@ -772,5 +969,7 @@ let suite =
         tc "protocol corruption" `Quick test_e2e_protocol_corruption;
         tc "stale socket reclaim" `Quick test_e2e_stale_socket_reclaim;
         tc "open-loop load audit" `Quick test_e2e_load_gen;
+        tc "pipelined replies exactly once" `Quick test_e2e_pipelined_exactly_once;
+        tc "no lost wake-up" `Quick test_e2e_no_lost_wakeup;
       ] );
   ]

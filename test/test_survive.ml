@@ -255,9 +255,16 @@ let test_journal_rewrite () =
     (live.Journal.grants = grants);
   Sys.remove path
 
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path bytes =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes)
+
 (* Kill-point sweep: fail every append in every way the engine's I/O
-   fault shim knows, and require that the journal never shows CRC
-   damage — only a clean prefix, possibly with a torn tail. *)
+   fault shim knows, keep appending after the failure, and require that
+   the journal holds exactly the records whose append succeeded — no
+   damage, no torn tail, whatever prefix the failed write left behind
+   (After_append's whole record included) cut off again. *)
 let test_journal_kill_point_sweep () =
   let records =
     List.init 5 (fun i ->
@@ -278,43 +285,36 @@ let test_journal_kill_point_sweep () =
           for op = 0 to List.length records - 1 do
             let path = temp_journal () in
             Engine.Io_fault.arm { Engine.Io_fault.op; kind };
-            let written = ref 0 in
-            (try
-               with_journal path (fun j ->
-                   List.iter
-                     (fun r ->
-                       Journal.append j r;
-                       incr written)
-                     records)
-             with Engine.Io_fault.Injected _ -> ());
+            let failed = ref 0 in
+            with_journal path (fun j ->
+                List.iter
+                  (fun r ->
+                    try Journal.append j r
+                    with Engine.Io_fault.Injected _ -> incr failed)
+                  records);
             Engine.Io_fault.disarm ();
+            Alcotest.(check int) "the armed append failed" 1 !failed;
             let s = scan_ok path in
-            Alcotest.(check int) "a crashed append never leaves damage" 0
+            Alcotest.(check int) "a failed append never leaves damage" 0
               s.Journal.damaged;
-            let n = List.length s.Journal.records in
-            Alcotest.(check bool) "intact records are a prefix" true
-              (s.Journal.records
-              = List.filteri (fun i _ -> i < n) records);
-            (* Drop/Short lose the failing record (torn at worst);
-               After_append persists it even though the caller saw the
-               failure — exactly the case the server's grant rollback
-               turns into an expiring orphan. *)
-            (match kind with
-            | Engine.Io_fault.After_append ->
-              Alcotest.(check int) "After_append is durable" (!written + 1) n
-            | _ ->
-              Alcotest.(check int) "Drop/Short lose the failing record"
-                !written n);
+            Alcotest.(check bool) "nor a torn tail" false s.Journal.torn_tail;
+            Alcotest.(check bool)
+              "exactly the successful appends, in order" true
+              (s.Journal.records = List.filteri (fun i _ -> i <> op) records);
             Sys.remove path
           done)
         kinds)
 
 (* The same sweep over one group-commit batch of mixed records, on top
    of an already-committed batch: Short k at every frame boundary and
-   at cuts inside every frame, Drop and After_append must leave the
-   committed prefix, then a clean prefix of the batch — exactly the
-   frames that fit in the bytes written — and a torn tail only when the
-   cut fell inside a frame. *)
+   at cuts inside every frame, Drop and After_append.  A process that
+   survives the failure keeps exactly the committed records and appends
+   the next batch right after them.  A process killed at the same point
+   leaves the committed records plus the first k bytes of the batch
+   (built here byte for byte): {!Journal.scan} must read the committed
+   records, then a clean prefix of the batch — exactly the frames that
+   fit in the bytes written — and a torn tail only when the cut fell
+   inside a frame. *)
 let test_journal_batch_kill_point_sweep () =
   let committed =
     [
@@ -331,6 +331,7 @@ let test_journal_batch_kill_point_sweep () =
       Journal.Release { name = 3; epoch = 3 };
     ]
   in
+  let next = [ Journal.Grant { name = 5; epoch = 5; client = 3; token = 0 } ] in
   let frame_bytes = function
     | Journal.Grant _ -> 8 + 21
     | Journal.Release _ | Journal.Expire _ -> 8 + 13
@@ -345,19 +346,42 @@ let test_journal_batch_kill_point_sweep () =
   in
   let ends = List.rev rev_ends in
   let starts = 0 :: List.rev (List.tl rev_ends) in
-  let run kind =
+  (* The file a clean run writes: the committed batch, then [batch]. *)
+  let clean =
+    let path = temp_journal () in
+    with_journal path (fun j ->
+        Journal.append_batch j committed;
+        Journal.append_batch j batch);
+    let bytes = file_bytes path in
+    Sys.remove path;
+    bytes
+  in
+  let base = String.length clean - total in
+  let survive ~what kind =
     let path = temp_journal () in
     with_journal path (fun j ->
         Journal.append_batch j committed;
         Engine.Io_fault.arm { Engine.Io_fault.op = 0; kind };
-        match Journal.append_batch j batch with
+        (match Journal.append_batch j batch with
         | () -> Alcotest.fail "armed batch append did not fail"
         | exception Engine.Io_fault.Injected _ -> Engine.Io_fault.disarm ());
+        Alcotest.(check int) (what ^ ": cut back to the committed bytes") base
+          (String.length (file_bytes path));
+        Journal.append_batch j next);
     let s = scan_ok path in
     Sys.remove path;
-    s
+    Alcotest.(check int) (what ^ ": no damage") 0 s.Journal.damaged;
+    Alcotest.(check bool) (what ^ ": no torn tail") false s.Journal.torn_tail;
+    Alcotest.(check bool)
+      (what ^ ": the committed records, then the next batch") true
+      (s.Journal.records = committed @ next)
   in
-  let expect ~what ~written s =
+  let crash ~written =
+    let what = Printf.sprintf "killed after %d byte(s)" written in
+    let path = temp_journal () in
+    write_file path (String.sub clean 0 (base + written));
+    let s = scan_ok path in
+    Sys.remove path;
     let whole = List.length (List.filter (fun e -> e <= written) ends) in
     Alcotest.(check int) (what ^ ": no damage") 0 s.Journal.damaged;
     Alcotest.(check bool)
@@ -369,9 +393,8 @@ let test_journal_batch_kill_point_sweep () =
       (s.Journal.torn_tail = (written > 0 && not (List.mem written ends)))
   in
   Fun.protect ~finally:Engine.Io_fault.disarm (fun () ->
-      expect ~what:"Drop" ~written:0 (run Engine.Io_fault.Drop);
-      expect ~what:"After_append" ~written:total
-        (run Engine.Io_fault.After_append);
+      survive ~what:"Drop" Engine.Io_fault.Drop;
+      survive ~what:"After_append" Engine.Io_fault.After_append;
       (* Each frame boundary, plus cuts inside each frame's header,
          at the header/payload seam and one byte short of its end. *)
       let cuts =
@@ -380,10 +403,8 @@ let test_journal_batch_kill_point_sweep () =
       in
       List.iter
         (fun k ->
-          expect
-            ~what:(Printf.sprintf "Short %d" k)
-            ~written:k
-            (run (Engine.Io_fault.Short k)))
+          survive ~what:(Printf.sprintf "Short %d" k) (Engine.Io_fault.Short k);
+          crash ~written:k)
         (List.sort_uniq compare cuts))
 
 (* ------------------------------------------------------------------ *)
@@ -605,6 +626,107 @@ let test_e2e_journal_batch_rollback () =
         (fun name -> getf "release" (Client.release c ~client:1 ~name))
         !acked;
       wait_for "every slot back" (fun () -> stat_int c "taken" = 0);
+      Client.close c)
+
+(* A short write inside a multi-record batch, survived.  The failed
+   batch's grants are aborted, and its torn prefix must not stay in the
+   file: the daemon keeps serving and journaling after it, the journal
+   scans clean and replays to exactly the names clients hold, and a
+   --recover restart over it (a copy taken while the daemon is live, as
+   a SIGKILL would leave it) re-occupies them and serves. *)
+let test_e2e_short_write_keeps_serving () =
+  let path = fresh_socket_path () in
+  let journal = temp_journal () in
+  let copy = temp_journal () in
+  let s = start_server (base_cfg ~shards:1 ~journal path) in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Io_fault.disarm ();
+      (try ignore (stop_server s) with _ -> ());
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ journal; copy ])
+    (fun () ->
+      let c = get "connect" (Client.connect ~path ()) in
+      let held = ref [] in
+      let release name =
+        getf "release" (Client.release c ~client:1 ~name);
+        held := List.filter (( <> ) name) !held
+      in
+      (* 16 pipelined acquires; the first journal batch they produce is
+         cut 10 bytes into its second frame.  Returns how many grants
+         that batch aborted. *)
+      let faulted_burst () =
+        Engine.Io_fault.arm
+          { Engine.Io_fault.op = 0; kind = Engine.Io_fault.Short (29 + 10) };
+        for i = 1 to 16 do
+          let id = Client.fresh_id c in
+          Client.post c (Wire.Acquire { id; client = i; token = 0; deadline_ms = 0 })
+        done;
+        get "flush" (Client.flush c);
+        let aborted = ref 0 in
+        for _ = 1 to 16 do
+          match get "recv" (Client.recv c ~timeout:10.) with
+          | Some (Wire.Acquired { name; _ }) -> held := name :: !held
+          | Some (Wire.Error { code; _ }) when code = Wire.err_internal ->
+            incr aborted
+          | Some _ -> Alcotest.fail "unexpected reply to a pipelined acquire"
+          | None -> Alcotest.fail "pipelined acquire went unanswered"
+        done;
+        Engine.Io_fault.disarm ();
+        !aborted
+      in
+      (* A committed grant first, so the cut lands past committed bytes. *)
+      held := [ getf "acquire" (Client.acquire c ~client:1) ];
+      (* The batch must hold at least two grants for the cut to fall
+         inside it; a single-grant batch is retried. *)
+      let rec until_multi tries =
+        if tries = 0 then Alcotest.fail "no multi-grant batch in 50 bursts"
+        else if faulted_burst () < 2 then begin
+          List.iter release (List.tl (List.rev !held));
+          until_multi (tries - 1)
+        end
+      in
+      until_multi 50;
+      (* Keep serving: more grants and releases land after the cut. *)
+      let more =
+        List.init 8 (fun i ->
+            getf "acquire" (Client.acquire c ~client:(100 + i)))
+      in
+      held := more @ !held;
+      List.iteri (fun i name -> if i mod 2 = 0 then release name) more;
+      let sc = scan_ok journal in
+      Alcotest.(check int) "no damaged record" 0 sc.Journal.damaged;
+      Alcotest.(check bool) "no torn tail" false sc.Journal.torn_tail;
+      let live = Journal.replay sc.Journal.records in
+      Alcotest.(check int) "no double grants" 0 live.Journal.double_grants;
+      Alcotest.(check (list int)) "replay = the names clients hold"
+        (List.sort compare !held)
+        (List.map fst live.Journal.grants);
+      Alcotest.(check int) "taken = the names clients hold" (List.length !held)
+        (stat_int c "taken");
+      (* Every reply is in, so the file is the decided state: a copy of
+         it is what a SIGKILL now would leave. *)
+      write_file copy (file_bytes journal);
+      let path2 = fresh_socket_path () in
+      let s2 =
+        start_server (base_cfg ~shards:1 ~journal:copy ~recover:true path2)
+      in
+      Fun.protect
+        ~finally:(fun () -> try ignore (stop_server s2) with _ -> ())
+        (fun () ->
+          let c2 = get "connect" (Client.connect ~path:path2 ()) in
+          Alcotest.(check int) "recovered the held names" (List.length !held)
+            (stat_int c2 "recovered");
+          let fresh =
+            List.init 4 (fun i -> getf "acquire" (Client.acquire c2 ~client:i))
+          in
+          List.iter
+            (fun n ->
+              if List.mem n !held then
+                Alcotest.failf "held name %d granted again" n)
+            fresh;
+          Client.close c2);
       Client.close c)
 
 (* Name recycling under group commit, against a real process killed
@@ -912,6 +1034,8 @@ let suite =
         tc "idempotent acquire dedup" `Quick test_e2e_token_dedup;
         tc "journal write-ahead rollback" `Quick test_e2e_journal_write_ahead;
         tc "group-commit batch rollback" `Quick test_e2e_journal_batch_rollback;
+        tc "short write survived, journal clean" `Quick
+          test_e2e_short_write_keeps_serving;
         tc "name recycling survives SIGKILL" `Quick
           test_e2e_recycle_sigkill_recover;
         tc "crash recovery re-occupies grants" `Quick test_e2e_recovery;
