@@ -13,6 +13,7 @@
 type t = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
+let max_int62 = (1 lsl 62) - 1
 
 let create n =
   if n < 1 then invalid_arg "Flat.create: need at least one stream";
@@ -81,18 +82,20 @@ let[@inline] bits (t : t) i =
   Int64.to_int (Int64.shift_right_logical z 2)
 
 (* Rejection loop as a tail-recursive top-level function: no closure, no
-   ref cell. *)
-let rec reject t i bound limit =
+   ref cell.  [Splitmix.int] rejects [v >= limit], where [limit] is
+   [max_int62 - max_int62 mod bound], the largest multiple of [bound] not
+   above [max_int62].  With [r = v mod bound], [v - r] is the multiple of
+   [bound] at or below [v], and it reaches [limit] exactly when it exceeds
+   [max_int62 - bound]: the same test from the one division the draw
+   needs anyway, so draws and stream positions are unchanged. *)
+let rec reject t i bound =
   let v = bits t i in
-  if v >= limit then reject t i bound limit else v mod bound
+  let r = v mod bound in
+  if v - r > max_int62 - bound then reject t i bound else r
 
 let[@inline] int (t : t) i bound =
   if bound <= 0 then invalid_arg "Flat.int: bound must be positive";
-  if bound land (bound - 1) = 0 then bits t i land (bound - 1)
-  else
-    let max_int62 = (1 lsl 62) - 1 in
-    let limit = max_int62 - (max_int62 mod bound) in
-    reject t i bound limit
+  if bound land (bound - 1) = 0 then bits t i land (bound - 1) else reject t i bound
 
 let float (t : t) i =
   let s = Int64.add (Bigarray.Array1.unsafe_get t i) golden_gamma in

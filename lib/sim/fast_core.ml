@@ -9,7 +9,9 @@
    This driver runs those machines with zero heap allocation per step:
    coins live unboxed in a [Prng.Flat] bank, the ready set is a flat
    Fisher-Yates swap array, and the TAS space is a reused
-   [Location_space] cleared in place between runs.
+   [Location_space] cleared in place between runs: one bit per location
+   in a [Bigarray] outside the heap, like the lanes below, so the 2n-cell
+   space of n = 10^6 processes is 250 KB and stays in L2.
 
    Layout: per-process bookkeeping is structure-of-arrays over unboxed
    [Bigarray.Array1] int lanes (pending location, ready set, names, step

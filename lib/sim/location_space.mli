@@ -7,24 +7,21 @@
     demand, which is what lets the adaptive algorithms use the notionally
     unbounded collection [R_1, R_2, ...] without preallocation.
 
-    The space also keeps global counters (probes, wins, high-water mark)
-    used by the experiments to report space consumption against the
-    paper's [O(n)]-space claims. *)
+    Every location costs one bit.  The space also keeps global counters
+    (probes, wins, high-water mark) used by the experiments to report
+    space consumption against the paper's [O(n)]-space claims. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** [create ()] is an all-free space.  [capacity] (default 0) commits a
-    dense flat byte per location for locations [0..capacity-1] — the
-    preallocated large-n mode: probes below the boundary never grow or
-    allocate backing storage, so a measured sweep is regrow-free.
-    Locations at or above [capacity] fall back to sparse on-demand
-    chunks, as an unbounded space requires. *)
-
-val preallocate : t -> capacity:int -> unit
-(** [preallocate t ~capacity] widens the dense prefix to [capacity]
-    (no-op if already that wide), preserving the taken/free state of
-    every location.  Call outside measured loops. *)
+    dense bit per location for locations [0..capacity-1], in a
+    [Bigarray] outside the OCaml heap ([capacity / 8] bytes: 250 KB for
+    the 2n cells of ReBatching at n = 10{^6}) — the preallocated large-n
+    mode: probes below the boundary never grow or allocate backing
+    storage, so a measured sweep is regrow-free.  Locations at or above
+    [capacity] fall back to sparse on-demand 8 KiB chunks (65536
+    locations each), as an unbounded space requires. *)
 
 val tas : t -> int -> bool
 (** [tas t loc] wins (returns [true]) iff [loc] was free; afterwards [loc]
@@ -61,7 +58,8 @@ val high_water_mark : t -> int
     O(high-water-mark) structural snapshots, sized for the systematic
     explorer ([Analysis.Explore]) which saves and restores the space on
     every DFS branch: only the occupied prefix of each allocated chunk
-    is copied, so tiny configurations snapshot in a few dozen bytes. *)
+    is copied, at one bit per location, so tiny configurations snapshot
+    in a few bytes. *)
 
 type snap
 

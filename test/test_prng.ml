@@ -369,6 +369,49 @@ let qcheck_int_range =
       let v = Prng.Splitmix.int rng bound in
       v >= 0 && v < bound)
 
+(* [Flat.int] must make exactly [Splitmix.int]'s draws and leave the
+   stream where it leaves it.  Bounds above 2^61 reject about half of
+   all 62-bit values, so those cases run the rejection loop often. *)
+let qcheck_flat_int_matches_splitmix =
+  let bound =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range 1 1000;
+          int_range 1 max_int;
+          map (fun x -> (1 lsl 61) + x) (int_range 1 ((1 lsl 61) - 1));
+        ])
+  in
+  let gen = QCheck.Gen.(pair int (list_size (int_range 1 64) bound)) in
+  let print (seed, bounds) =
+    Printf.sprintf "seed %d, bounds [%s]" seed
+      (String.concat "; " (List.map string_of_int bounds))
+  in
+  QCheck.Test.make ~name:"flat int = splitmix int, same stream state after" ~count:500
+    (QCheck.make ~print gen) (fun (seed, bounds) ->
+      let g = Prng.Splitmix.of_int seed in
+      let bank = Prng.Flat.create 1 in
+      Prng.Flat.set_state bank 0 (Prng.Splitmix.state g);
+      List.for_all
+        (fun b ->
+          Prng.Flat.int bank 0 b = Prng.Splitmix.int g b
+          && Prng.Flat.get_state bank 0 = Prng.Splitmix.state g)
+        bounds)
+
+(* The property above is only as strong as its bounds: check that a
+   bound just above 2^61 really does reject, i.e. that 200 draws advance
+   the stream further than 200 raw [bits] calls. *)
+let test_flat_int_rejects () =
+  let bound = (1 lsl 61) + 1 in
+  let bank = Prng.Flat.create 1 and raw = Prng.Splitmix.of_int 9 in
+  Prng.Flat.set_state bank 0 (Prng.Splitmix.state raw);
+  for _ = 1 to 200 do
+    ignore (Prng.Flat.int bank 0 bound : int);
+    ignore (Prng.Splitmix.bits raw : int)
+  done;
+  Alcotest.(check bool) "rejection advanced the stream" true
+    (Prng.Flat.get_state bank 0 <> Prng.Splitmix.state raw)
+
 let qcheck_permutation =
   QCheck.Test.make ~name:"permutation is a bijection" ~count:200
     QCheck.(pair small_int (int_range 0 200))
@@ -423,6 +466,8 @@ let suite =
         tc "bool balanced" `Quick test_bool_balanced;
         tc "bernoulli edges" `Quick test_bernoulli_edges;
         QCheck_alcotest.to_alcotest qcheck_int_range;
+        tc "flat int rejects above 2^61" `Quick test_flat_int_rejects;
+        QCheck_alcotest.to_alcotest qcheck_flat_int_matches_splitmix;
       ] );
     ( "prng.shuffle",
       [

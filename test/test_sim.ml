@@ -128,6 +128,151 @@ let qcheck_one_winner_per_location =
         locs;
       true)
 
+(* Model test: random operation sequences against a [Hashtbl] reference,
+   comparing every result and every counter after every operation.
+   Locations cluster at the seams of the bit layout: byte edges (8k-1,
+   8k), the dense boundary, the 65535/65536 chunk edge, and chunks
+   spread over several slabs. *)
+
+type space_op =
+  | Tas of int
+  | Release of int
+  | Is_taken of int
+  | Clear
+  | Reset
+  | Save
+  | Restore
+
+let space_op_print = function
+  | Tas l -> Printf.sprintf "tas %d" l
+  | Release l -> Printf.sprintf "release %d" l
+  | Is_taken l -> Printf.sprintf "is_taken %d" l
+  | Clear -> "clear"
+  | Reset -> "reset"
+  | Save -> "save"
+  | Restore -> "restore"
+
+type space_model = {
+  taken : (int, unit) Hashtbl.t;
+  mutable m_probes : int;
+  mutable m_wins : int;
+  mutable m_hwm : int;
+}
+
+let model_copy m = { m with taken = Hashtbl.copy m.taken }
+
+let model_assign m src =
+  Hashtbl.reset m.taken;
+  Hashtbl.iter (fun l () -> Hashtbl.replace m.taken l ()) src.taken;
+  m.m_probes <- src.m_probes;
+  m.m_wins <- src.m_wins;
+  m.m_hwm <- src.m_hwm
+
+let model_zero m =
+  Hashtbl.reset m.taken;
+  m.m_probes <- 0;
+  m.m_wins <- 0;
+  m.m_hwm <- 0
+
+let model_touch m l = if l >= m.m_hwm then m.m_hwm <- l + 1
+
+let space_case_gen =
+  QCheck.Gen.(
+    let* cap = oneof [ oneofl [ 0; 1; 7; 9 ]; map (fun n -> (2 * n) + 3) (int_range 1 40_000) ] in
+    let loc =
+      oneof
+        [
+          int_range 0 (cap + 24);
+          map (fun d -> max 0 (cap + d)) (int_range (-2) 2);
+          map2 (fun k d -> (8 * k) + d) (int_range 1 ((cap / 8) + 3)) (oneofl [ -1; 0 ]);
+          oneofl [ 65535; 65536; 65537; 131071; 131072 ];
+          int_range 0 200_000;
+          (* enough distinct chunks to fill several 8-chunk slabs *)
+          map2 (fun ci off -> (ci lsl 16) + off) (int_range 0 40) (oneofl [ 0; 7; 8; 65535 ]);
+          oneofl [ 1 lsl 30; (1 lsl 30) + 9 ];
+        ]
+    in
+    let op =
+      frequency
+        [
+          (8, map (fun l -> Tas l) loc);
+          (3, map (fun l -> Release l) loc);
+          (3, map (fun l -> Is_taken l) loc);
+          (1, return Clear);
+          (1, return Reset);
+          (2, return Save);
+          (2, return Restore);
+        ]
+    in
+    pair (return cap) (list_size (int_range 1 80) op))
+
+let space_case_print (cap, ops) =
+  Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map space_op_print ops))
+
+let qcheck_space_model =
+  QCheck.Test.make ~name:"location space matches a Hashtbl model" ~count:300
+    (QCheck.make ~print:space_case_print space_case_gen) (fun (cap, ops) ->
+      let module L = Sim.Location_space in
+      let sp = L.create ~capacity:cap () in
+      let m = { taken = Hashtbl.create 64; m_probes = 0; m_wins = 0; m_hwm = 0 } in
+      let saved = ref None in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let same_bool op a b =
+        if a <> b then fail "%s returned %b, model %b" (space_op_print op) a b
+      in
+      let step op =
+        (match op with
+        | Tas l ->
+          let won = not (Hashtbl.mem m.taken l) in
+          if won then begin
+            Hashtbl.replace m.taken l ();
+            m.m_wins <- m.m_wins + 1
+          end;
+          m.m_probes <- m.m_probes + 1;
+          model_touch m l;
+          same_bool op (L.tas sp l) won
+        | Release l ->
+          if Hashtbl.mem m.taken l then begin
+            Hashtbl.remove m.taken l;
+            m.m_wins <- m.m_wins - 1
+          end;
+          model_touch m l;
+          L.release sp l
+        | Is_taken l -> same_bool op (L.is_taken sp l) (Hashtbl.mem m.taken l)
+        | Clear ->
+          model_zero m;
+          L.clear sp
+        | Reset ->
+          model_zero m;
+          L.reset sp
+        | Save -> saved := Some (model_copy m, L.save sp)
+        | Restore -> (
+          match !saved with
+          | None -> ()
+          | Some (mm, snap) ->
+            model_assign m mm;
+            L.restore sp snap));
+        let counter name a b =
+          if a <> b then fail "after %s: %s %d, model %d" (space_op_print op) name a b
+        in
+        counter "probe_count" (L.probe_count sp) m.m_probes;
+        counter "win_count" (L.win_count sp) m.m_wins;
+        counter "high_water_mark" (L.high_water_mark sp) m.m_hwm
+      in
+      List.iter step ops;
+      (* Final sweep: every location the case named, plus its neighbours. *)
+      List.iter
+        (function
+          | Tas l | Release l | Is_taken l ->
+            List.iter
+              (fun l ->
+                if l >= 0 && L.is_taken sp l <> Hashtbl.mem m.taken l then
+                  fail "final state differs at %d" l)
+              [ l - 1; l; l + 1 ]
+          | Clear | Reset | Save | Restore -> ())
+        ops;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler + runner *)
 
@@ -342,6 +487,7 @@ let suite =
         tc "reset" `Quick test_space_reset;
         tc "negative" `Quick test_space_negative;
         QCheck_alcotest.to_alcotest qcheck_one_winner_per_location;
+        QCheck_alcotest.to_alcotest qcheck_space_model;
       ] );
     ( "sim.scheduler",
       [
